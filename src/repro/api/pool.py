@@ -14,8 +14,8 @@ curve.  :class:`WorkerPool` keeps the worker processes warm across calls:
   numpy reduction path, touches the expansion-interning table) so the first
   real job does not pay cold-import latency; under the ``fork`` start method
   workers additionally inherit the parent's already-interned expansions;
-* the pool watches an **environment fingerprint** (the fault-plan variable
-  and the stats/scoreboard/result-shipping mode switches).  Long-lived
+* the pool watches an **environment fingerprint** (the fault-plan, the
+  no-numpy statistics and the engine-profiling switches).  Long-lived
   workers would otherwise keep running with the environment they were forked
   with; when the fingerprint changes the pool swaps in a fresh executor at
   the next submission and lets the old one drain, so e.g. a freshly
@@ -41,17 +41,10 @@ from repro.obs.metrics import Counter
 __all__ = ["WorkerPool", "get_shared_pool", "shutdown_shared_pool", "usable_cpus"]
 
 #: Environment variables workers must agree with the parent about.  A change
-#: to any of them (a fault plan installed or cleared, a stats/scoreboard
-#: fallback toggled, the result-shipping override flipped) forces the pool to
-#: replace its warm workers before the next submission runs.
-ENV_FINGERPRINT_VARS = (
-    "REPRO_FAULT_PLAN",
-    "REPRO_PURE_PYTHON_STATS",
-    "REPRO_OBJECT_SCOREBOARD",
-    "REPRO_PICKLE_RESULTS",
-    "REPRO_SHM_MIN_BYTES",
-    "REPRO_PROFILE",
-)
+#: to any of them (a fault plan installed or cleared, the no-numpy statistics
+#: path or engine profiling toggled) forces the pool to replace its warm
+#: workers before the next submission runs.
+ENV_FINGERPRINT_VARS = ("REPRO_FAULT_PLAN", "REPRO_PURE_PYTHON_STATS", "REPRO_PROFILE")
 
 
 def usable_cpus() -> int:

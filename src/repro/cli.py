@@ -36,6 +36,7 @@ Shard the service horizontally (router in front of N backend processes)::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from collections.abc import Sequence
@@ -161,6 +162,32 @@ def _dedupe(names: Sequence[str]) -> list[str]:
 # --------------------------------------------------------------------------- #
 # simulation service subcommands
 # --------------------------------------------------------------------------- #
+def _serve_until_stopped(duration: float | None) -> None:
+    """Block for ``duration`` seconds (forever if ``None``) or until stopped.
+
+    SIGTERM takes the same path as SIGINT: both raise ``KeyboardInterrupt``
+    here, so the caller's ``with`` block shuts the server down and the
+    interpreter's exit hooks stop the pool workers.  Off the main thread
+    (``serve_main`` embedded in a test) no handler can be installed, and
+    only ``duration`` ends the wait.
+    """
+    try:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    except ValueError:  # signal handlers live on the main thread only
+        previous = None
+    try:
+        if duration is not None:
+            time.sleep(duration)
+        else:  # pragma: no cover - interactive foreground mode
+            while True:
+                time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
 def serve_main(argv: Sequence[str]) -> int:
     """``repro-mtv serve``: run the async simulation job service."""
     parser = argparse.ArgumentParser(
@@ -234,14 +261,7 @@ def serve_main(argv: Sequence[str]) -> int:
                 len(server.router.shards),
                 ", ".join(server.router.shards),
             )
-            try:
-                if args.duration is not None:
-                    time.sleep(args.duration)
-                else:  # pragma: no cover - interactive foreground mode
-                    while True:
-                        time.sleep(3600)
-            except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-                pass
+            _serve_until_stopped(args.duration)
         logger.info("router stopped")
         return 0
 
@@ -263,14 +283,7 @@ def serve_main(argv: Sequence[str]) -> int:
             store.directory,
             args.workers,
         )
-        try:
-            if args.duration is not None:
-                time.sleep(args.duration)
-            else:  # pragma: no cover - interactive foreground mode
-                while True:
-                    time.sleep(3600)
-        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-            pass
+        _serve_until_stopped(args.duration)
     logger.info("service stopped")
     return 0
 

@@ -147,20 +147,6 @@ class DispatchLog:
         self.values = array("q")
         self.values.frombytes(state)
 
-    # -- raw-buffer export/import (out-of-band result shipping) ------------ #
-    def export_rows(self) -> bytes:
-        """The whole log as raw little-endian int64 bytes (one flat buffer)."""
-        return self.values.tobytes()
-
-    @classmethod
-    def from_rows(cls, buffer) -> "DispatchLog":
-        """Rebuild a log from :meth:`export_rows` output (bytes-like)."""
-        if memoryview(buffer).nbytes % (8 * ROW_WIDTH):
-            raise SimulationError("dispatch-log buffer is not whole int64 rows")
-        log = cls()
-        log.values.frombytes(buffer)
-        return log
-
 
 def reduce_dispatch_log(log: DispatchLog, stats) -> None:
     """One-shot reduction of the dispatch log into a ``SimulationStats``.
@@ -361,11 +347,7 @@ class FlatIntervalRecorder:
     def record(self, start: int, end: int) -> None:
         """Record one busy interval; zero-length intervals are ignored."""
         if end > start:
-            try:
-                self._pairs.extend((start, end))
-            except AttributeError:  # adopted readonly buffer: copy-on-write
-                self._materialize()
-                self._pairs.extend((start, end))
+            self._pairs.extend((start, end))
             if self._merged_cache:
                 self._merged_cache = {}
         elif end < start:
@@ -376,19 +358,9 @@ class FlatIntervalRecorder:
     def extend_pairs(self, other: "FlatIntervalRecorder") -> None:
         """Append every interval of ``other`` (used to combine LD units)."""
         if len(other._pairs):
-            try:
-                self._pairs.extend(other._pairs)
-            except AttributeError:  # adopted readonly buffer: copy-on-write
-                self._materialize()
-                self._pairs.extend(other._pairs)
+            self._pairs.extend(other._pairs)
             if self._merged_cache:
                 self._merged_cache = {}
-
-    def _materialize(self) -> None:
-        """Replace an adopted readonly buffer with a private mutable array."""
-        pairs = array("q")
-        pairs.frombytes(self._pairs.tobytes())
-        self._pairs = pairs
 
     @property
     def intervals(self) -> list[tuple[int, int]]:
@@ -418,41 +390,6 @@ class FlatIntervalRecorder:
     def reset(self) -> None:
         """Drop all recorded intervals."""
         self._pairs = array("q")
-        self._merged_cache = {}
-
-    # -- raw-buffer export/import (out-of-band result shipping) ------------ #
-    def export_pairs(self) -> bytes:
-        """The recorded pairs as raw little-endian int64 bytes."""
-        return self._pairs.tobytes()
-
-    def detach_pairs(self):
-        """Take the flat buffer out, leaving the recorder empty.
-
-        Used by the frame codec to pickle a result's object graph *without*
-        its big interval buffers; pair with :meth:`restore_pairs`.
-        """
-        pairs, self._pairs = self._pairs, array("q")
-        self._merged_cache = {}
-        return pairs
-
-    def restore_pairs(self, pairs) -> None:
-        """Put a buffer taken by :meth:`detach_pairs` back."""
-        self._pairs = pairs
-        self._merged_cache = {}
-
-    def adopt_pairs(self, buffer) -> None:
-        """Adopt ``(start, end)`` int64 pairs from a bytes-like buffer, zero-copy.
-
-        The recorder holds a ``memoryview`` into ``buffer`` — no per-element
-        deserialization, no copy.  The first mutation (``record`` /
-        ``extend_pairs``) transparently copies into a private array.
-        """
-        view = memoryview(buffer)
-        if view.nbytes % 16:
-            raise SimulationError(
-                f"unit {self.name}: interval buffer is not whole (start, end) int64 pairs"
-            )
-        self._pairs = view.cast("q")
         self._merged_cache = {}
 
     def drop_merge_memo(self) -> None:

@@ -123,8 +123,7 @@ class Register:
         write(self, "is_vector", is_vector)
         write(self, "bank", self.index // REGISTERS_PER_BANK if is_vector else None)
         # Dense integer id, unique across the register files of one context.
-        # The scoreboard keys its hazard table by this id: hashing a small int
-        # is several times cheaper than hashing the (enum, int) field tuple.
+        # The scoreboard indexes its hazard columns by this id.
         write(self, "key", _CLASS_KEY_BASE[self.cls] + self.index)
 
     def __str__(self) -> str:  # pragma: no cover - trivial

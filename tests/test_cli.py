@@ -164,6 +164,89 @@ class TestServiceCommands:
         assert code == 2
         assert "service error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _start_serve(log_path, *args: str):
+        """Start ``repro-mtv serve`` as a child process; return it and its URL.
+
+        Output goes to ``log_path`` rather than a pipe, so no reader can
+        block on a child (or an orphaned pool worker) that keeps it open.
+        """
+        import os
+        import re
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        with open(log_path, "w") as log:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *args],
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                env={**os.environ, "PYTHONPATH": "src"},
+                cwd=Path(__file__).resolve().parent.parent,
+            )
+        deadline = time.monotonic() + 60.0
+        while process.poll() is None and time.monotonic() < deadline:
+            match = re.search(r"(?:serving|routing) on (http://\S+)", log_path.read_text())
+            if match:
+                return process, match.group(1)
+            time.sleep(0.05)
+        process.kill()
+        process.wait(timeout=30.0)
+        raise AssertionError(f"serve never listened:\n{log_path.read_text()}")
+
+    @staticmethod
+    def _terminate(process, log_path) -> str:
+        """Send SIGTERM, wait for the child to exit and return its output."""
+        import signal
+
+        try:
+            process.send_signal(signal.SIGTERM)
+            process.wait(timeout=60.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30.0)
+        return log_path.read_text()
+
+    def test_sigterm_stops_the_service_and_its_pool_worker(self, tmp_path):
+        import os
+        import time
+
+        from repro.service import ServiceClient
+
+        log_path = tmp_path / "serve.log"
+        process, url = self._start_serve(
+            log_path, "--workers", "1", "--store-dir", str(tmp_path / "store")
+        )
+        try:
+            client = ServiceClient(url)
+            handle = client.submit("reference", {"benchmark": "tomcatv", "scale": 0.05})
+            handle.wait(timeout=120.0)
+            spans = {span["span"]: span for span in client.trace(handle.job_id)["spans"]}
+            worker_pid = spans["execute"]["worker_pid"]
+            assert worker_pid not in (None, process.pid)
+        finally:
+            output = self._terminate(process, log_path)
+        assert process.returncode == 0, output
+        assert "service stopped" in output
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.kill(worker_pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"pool worker {worker_pid} outlived serve"
+            time.sleep(0.05)
+
+    def test_sigterm_stops_the_router(self, tmp_path):
+        log_path = tmp_path / "router.log"
+        process, _url = self._start_serve(log_path, "--shard-of", "http://127.0.0.1:9")
+        output = self._terminate(process, log_path)
+        assert process.returncode == 0, output
+        assert "router stopped" in output
+
     def test_main_routes_service_subcommands(self, monkeypatch):
         import repro.cli as cli
 

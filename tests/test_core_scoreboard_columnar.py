@@ -1,14 +1,17 @@
-"""Property tests: columnar vs. object scoreboard call-by-call agreement.
+"""Property tests: columnar scoreboard vs. the seed oracle, call by call.
 
-The columnar hazard tables replace the object scoreboard's per-register dict
+The columnar hazard tables replace the seed scoreboard's per-register dict
 and per-bank read-end lists with flat int columns and top-K port slots.  The
 compression is only valid under the engine's contract — ``now`` never
 decreases across successive calls on one scoreboard — so this suite drives
-both implementations through identical random *monotonic* sequences of
-``record_read`` / ``record_write`` / ``reset`` operations interleaved with
-``earliest_dispatch`` / ``chain_start`` probes, and asserts that every probe
-result and every per-register state column agree, across both
-``model_bank_ports`` and ``allow_chaining`` settings.
+:class:`~repro.core.scoreboard.ColumnarScoreboard` and the frozen oracle's
+``SeedScoreboard`` (``tests/seed_engine.py``) through identical random
+*monotonic* sequences of ``record_read`` / ``record_write`` / ``reset``
+operations interleaved with ``earliest_dispatch`` / ``chain_start`` probes,
+and asserts that every probe result and every per-register state column
+agree, across both ``model_bank_ports`` and ``allow_chaining`` settings.
+The oracle has no ``reset``: a reset replaces it with a fresh
+``SeedScoreboard`` built with the same settings.
 
 The sequences deliberately oversample the corners where the two data layouts
 could diverge: many readers piling onto one bank (port-slot eviction), reads
@@ -21,7 +24,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoreboard import ColumnarScoreboard, Scoreboard
+from repro.core.scoreboard import ColumnarScoreboard
 from repro.isa.builder import (
     scalar_load,
     scalar_op,
@@ -33,6 +36,8 @@ from repro.isa.builder import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import A, S, V, all_registers
+
+from tests.seed_engine import SeedScoreboard
 
 ALL_REGISTERS = all_registers()
 
@@ -97,56 +102,68 @@ def operation(draw):
     return ("reset", advance)
 
 
-def apply_sequence(boards, ops):
-    """Drive all boards through ``ops`` with a shared monotonic clock.
+def check_sequence(ops, *, model_bank_ports: bool, allow_chaining: bool) -> None:
+    """Drive a columnar board and a seed reference through ``ops``.
 
-    Yields, per probe-style op, the tuple of per-board results so the caller
-    can assert agreement mid-run (divergence is reported at the first call
-    that differs, not only in the final state).
+    Both share one monotonic clock.  Every probe is compared as it happens,
+    so a divergence is reported at the first call that differs, not only in
+    the final state; ``version`` must rise by exactly one per mutation.
     """
+    options = {"model_bank_ports": model_bank_ports, "allow_chaining": allow_chaining}
+    columnar = ColumnarScoreboard(**options)
+    reference = SeedScoreboard(**options)
     now = 0
+    mutations = 0
     for op in ops:
         kind = op[0]
         now += op[1]
         if kind == "read":
             _, _, register, duration = op
-            for board in boards:
+            for board in (columnar, reference):
                 board.record_read(register, now, now + duration)
+            mutations += 1
         elif kind == "write":
             _, _, register, first_delta, ready_delta, chainable = op
-            for board in boards:
+            for board in (columnar, reference):
                 board.record_write(
                     register,
                     first_element_at=now + first_delta,
                     ready_at=now + ready_delta,
                     chainable=chainable,
                 )
+            mutations += 1
         elif kind == "probe":
-            yield op, tuple(board.earliest_dispatch(op[2], now) for board in boards)
+            instruction = op[2]
+            assert columnar.earliest_dispatch(instruction, now) == (
+                reference.earliest_dispatch(instruction, now)
+            ), op
         elif kind == "chain":
             _, _, instruction, candidate_delta = op
-            yield op, tuple(
-                board.chain_start(instruction, now + candidate_delta)
-                for board in boards
-            )
+            candidate = now + candidate_delta
+            assert columnar.chain_start(instruction, candidate) == (
+                reference.chain_start(instruction, candidate)
+            ), op
         else:
-            for board in boards:
-                board.reset()
+            columnar.reset()
+            reference = SeedScoreboard(**options)
+            mutations += 1
+        assert columnar.version == mutations, op
+    assert_same_state(columnar, reference)
 
 
-def assert_same_state(columnar, fallback):
-    """Every register's hazard columns agree between the two backends."""
+def assert_same_state(columnar, reference):
+    """Every register's hazard columns agree with the seed reference."""
     for register in ALL_REGISTERS:
         flat = columnar.state(register)
-        obj = fallback.state(register)
-        assert flat.ready_at == obj.ready_at, register
-        assert flat.first_element_at == obj.first_element_at, register
-        assert flat.chainable == obj.chainable, register
-        assert flat.write_busy_until == obj.write_busy_until, register
-        assert flat.read_busy_until == obj.read_busy_until, register
+        seed = reference.state(register)
+        assert flat.ready_at == seed.ready_at, register
+        assert flat.first_element_at == seed.first_element_at, register
+        assert flat.chainable == seed.chainable, register
+        assert flat.write_busy_until == seed.write_busy_until, register
+        assert flat.read_busy_until == seed.read_busy_until, register
 
 
-class TestColumnarAgreesWithObjectScoreboard:
+class TestColumnarAgreesWithSeedScoreboard:
     @settings(max_examples=200, deadline=None)
     @given(
         ops=st.lists(operation(), min_size=1, max_size=60),
@@ -154,18 +171,9 @@ class TestColumnarAgreesWithObjectScoreboard:
         allow_chaining=st.booleans(),
     )
     def test_random_sequences_agree(self, ops, model_bank_ports, allow_chaining):
-        columnar = ColumnarScoreboard(
-            model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
+        check_sequence(
+            ops, model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
         )
-        fallback = Scoreboard(
-            model_bank_ports=model_bank_ports, allow_chaining=allow_chaining
-        )
-        for op, (flat_result, object_result) in apply_sequence(
-            (columnar, fallback), ops
-        ):
-            assert flat_result == object_result, op
-        assert columnar.version == fallback.version
-        assert_same_state(columnar, fallback)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -181,18 +189,18 @@ class TestColumnarAgreesWithObjectScoreboard:
         probe_gap=st.integers(min_value=0, max_value=50),
     )
     def test_port_slot_eviction_matches_prune_and_sort(self, reads, probe_gap):
-        """Many readers on one bank: top-K slots vs. the fallback's full list."""
+        """Many readers on one bank: top-K slots vs. the seed's full list."""
         columnar = ColumnarScoreboard()
-        fallback = Scoreboard()
+        reference = SeedScoreboard()
         now = 0
         reader = vstore(V(0), A(0), vl=16, address=0)
         for index, advance, duration in reads:
             now += advance
-            for board in (columnar, fallback):
+            for board in (columnar, reference):
                 board.record_read(V(index), now, now + duration)
             probe_at = now + probe_gap
             assert columnar.earliest_dispatch(reader, probe_at) == (
-                fallback.earliest_dispatch(reader, probe_at)
+                reference.earliest_dispatch(reader, probe_at)
             )
 
     @settings(max_examples=60, deadline=None)
@@ -207,17 +215,17 @@ class TestColumnarAgreesWithObjectScoreboard:
     ):
         """Probes landing exactly on ``ready_at`` boundaries stay identical."""
         columnar = ColumnarScoreboard(allow_chaining=allow_chaining)
-        fallback = Scoreboard(allow_chaining=allow_chaining)
-        for board in (columnar, fallback):
+        reference = SeedScoreboard(allow_chaining=allow_chaining)
+        for board in (columnar, reference):
             board.record_write(
                 V(0), first_element_at=10, ready_at=10 + ready_delta, chainable=chainable
             )
         consumer = vadd(V(2), V(0), V(4), vl=32)
         now = 10 + probe_delta
-        assert columnar.earliest_dispatch(consumer, now) == fallback.earliest_dispatch(
+        assert columnar.earliest_dispatch(consumer, now) == reference.earliest_dispatch(
             consumer, now
         )
         candidate = 10 + probe_delta
-        assert columnar.chain_start(consumer, candidate) == fallback.chain_start(
+        assert columnar.chain_start(consumer, candidate) == reference.chain_start(
             consumer, candidate
         )

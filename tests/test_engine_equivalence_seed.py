@@ -386,68 +386,6 @@ class TestFallbackReductionEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# the object-scoreboard fallback, against the same oracle
-# --------------------------------------------------------------------------- #
-class TestObjectScoreboardFallbackEquivalence:
-    """One equivalence case per machine model with the object scoreboard forced.
-
-    The columnar hazard tables are the default; the object-graph scoreboard
-    remains selectable (``REPRO_OBJECT_SCOREBOARD=1``, one CI matrix leg runs
-    the whole tier-1 suite that way).  This class guards the fallback inside
-    the default matrix legs, mirroring the no-numpy reduction class above.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _force_object_scoreboard(self):
-        from repro.core.scoreboard import set_columnar_scoreboard_enabled
-
-        previous = set_columnar_scoreboard_enabled(False)
-        try:
-            yield
-        finally:
-            set_columnar_scoreboard_enabled(previous)
-
-    def test_reference_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:1], 64)
-        config = MachineConfig.reference(50)
-        fast, seed = run_both(config, lambda: [SingleJobSupplier(jobs[0])])
-        assert_cycle_identical(fast, seed)
-
-    def test_multithreaded_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 32)
-        config = MachineConfig.multithreaded(2, 50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(jobs[0]), RepeatingSupplier(jobs[1])]
-
-        fast, seed = run_both(
-            config, make_suppliers, stop_when_completed_on_context0=True
-        )
-        assert_cycle_identical(fast, seed)
-
-    def test_dual_scalar_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:2], 16)
-        config = MachineConfig.dual_scalar_fujitsu(50)
-
-        def make_suppliers() -> list[JobSupplier]:
-            queue = JobQueueSupplier(jobs)
-            return [queue, queue]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-    def test_cray_style_fallback(self):
-        jobs = _make_jobs(sorted(kernel_names())[:4], 32)
-        config = MachineConfig.cray_style(4, 50, num_memory_ports=3, issue_width=2)
-
-        def make_suppliers() -> list[JobSupplier]:
-            return [SingleJobSupplier(job) for job in jobs]
-
-        fast, seed = run_both(config, make_suppliers)
-        assert_cycle_identical(fast, seed)
-
-
-# --------------------------------------------------------------------------- #
 # hazard corner cases the kernel-built workloads under-sample
 # --------------------------------------------------------------------------- #
 @st.composite
