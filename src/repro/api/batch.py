@@ -14,15 +14,18 @@ as one *batch*:
   which worker finished first, so parallel and serial execution are
   result-for-result identical;
 * requests are **deduplicated by content key** first (duplicates within one
-  batch simulate exactly once) and an optional
-  :class:`~repro.api.cache.RunCache` / result store short-circuits requests
-  whose (configuration, workload, mode) content hash was simulated before;
+  batch simulate exactly once) and an optional cache — a
+  :class:`~repro.api.cache.RunCache` or a durable result store, both
+  speaking ``get_bytes``/``put_bytes`` — short-circuits requests whose
+  (configuration, workload, mode) content hash was simulated before;
 * shipped requests are **chunked** by an instruction-count estimate, so tiny
   simulations share one worker round trip instead of paying per-job IPC;
-* each worker pickles its results where they were produced
-  (:func:`_result_to_bytes`) and the parent unpickles them; byte stores
-  record those same canonical bytes, so ledgers and store blobs are
-  byte-identical to an in-process run.
+* :func:`_run_chunks` is the one pool path, shared with the sweep executor:
+  it fans chunks out over the pool, respawns the pool once after a worker
+  crash, finishes crash-looping chunks in-process, and yields each chunk's
+  canonical result bytes (:func:`_result_to_bytes`, pickled where the result
+  was produced) as it completes.  Caches record those same bytes, so ledgers
+  and cache entries are byte-identical to an in-process run.
 
 ``jobs`` is an upper bound: the effective worker count is additionally
 capped by the CPUs this process may run on, so over-subscribing a small host
@@ -36,11 +39,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Iterable, Iterator, Sequence
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.api.cache import RunCache, request_key
+from repro.api.cache import RunCache, _result_to_bytes, request_key
 from repro.api.machine import BUILTIN_MODEL_NAMES, Machine
 from repro.api.pool import WorkerPool, get_shared_pool, usable_cpus
 from repro.core.config import MachineConfig
@@ -216,21 +221,6 @@ def _execute_request(request: SimulationRequest) -> SimulationResult:
     return machine.run_queue(request.workloads)
 
 
-def _result_to_bytes(result: SimulationResult) -> bytes:
-    """The canonical payload bytes of a result.
-
-    Pickling in the producing process keeps payload bytes canonical: the
-    result's object graph still has its natural sharing (interned strings,
-    reused tuples), so identical simulations yield byte-identical payloads
-    no matter which process ran them.  Re-pickling a result after it crossed
-    a process boundary loses that sharing and changes the bytes — which is
-    exactly what content-hashed ledgers and byte-compared stores must avoid.
-    Every path that turns a result into stored bytes (local fallback, pooled
-    worker, sweep executor, service) goes through this one helper.
-    """
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def _execute_request_to_bytes(request: SimulationRequest) -> bytes:
     """Run one request and pickle the result where it was produced."""
     inject_slow_execute()
@@ -348,37 +338,62 @@ def _execute_chunk(payloads: list[bytes]) -> list[bytes]:
     return [_execute_request_to_bytes(pickle.loads(payload)) for payload in payloads]
 
 
-def _run_chunks_on_pool(
-    pool: WorkerPool, chunks: list[list[int]], payloads: dict[int, bytes]
-) -> tuple[dict[int, bytes], list[int]]:
-    """Run every chunk on the pool, riding out one worker-crash respawn.
+def _run_chunks(
+    requests: Sequence[SimulationRequest],
+    chunks: Iterable[Sequence[int]],
+    pool: WorkerPool | None,
+) -> Iterator[tuple[Sequence[int], list[bytes] | BaseException, float]]:
+    """Run chunks of request indexes, yielding each chunk as it completes.
 
-    Returns ``(result_bytes_by_index, failed_indexes)``.  A
-    ``BrokenProcessPool`` fails every chunk in flight; the pool is respawned
-    and the failed chunks retried once.  Indexes whose chunks failed twice (a
-    crash-looping fault plan) are handed back for in-process execution.
+    The one pool path of :func:`run_batch` and the sweep executor.  Each yield is ``(indexes, outcome, elapsed)``: ``outcome`` is
+    the canonical result bytes of the chunk's requests in chunk order, or
+    the exception one of them raised; ``elapsed`` is the seconds from the
+    chunk's submission (or in-process start) to its completion.
+
+    With a ``pool``, chunks ship to the workers; a request that cannot ship
+    (:func:`_ship_payload`) leaves its chunk and runs in-process on its own.
+    A ``BrokenProcessPool`` fails every chunk in flight: the pool is
+    respawned and the failed chunks retried once, and chunks that fail again
+    (a crash-looping fault plan) finish in-process.  Without a pool every
+    chunk runs in-process.
     """
-    shipped: dict[int, bytes] = {}
-    remaining = chunks
+    shipped: list[tuple[Sequence[int], list[bytes]]] = []
+    local: list[Sequence[int]] = []
+    for chunk in chunks:
+        if pool is None:
+            local.append(chunk)
+            continue
+        pickled = {index: _ship_payload(requests[index]) for index in chunk}
+        ship = [index for index in chunk if pickled[index] is not None]
+        local.extend([index] for index in chunk if pickled[index] is None)
+        if ship:
+            shipped.append((ship, [pickled[index] for index in ship]))
     for attempt in range(2):
-        futures = [
-            (chunk, pool.submit(_execute_chunk, [payloads[i] for i in chunk]))
-            for chunk in remaining
-        ]
-        failed: list[list[int]] = []
-        for chunk, future in futures:
-            try:
-                items = future.result()
-            except BrokenProcessPool:
-                failed.append(chunk)
-            else:
-                shipped.update(zip(chunk, items))
-        remaining = failed
-        if not remaining:
+        if not shipped:
             break
-        if attempt == 0:
+        started = time.perf_counter()
+        futures = {
+            pool.submit(_execute_chunk, payloads): (indexes, payloads)
+            for indexes, payloads in shipped
+        }
+        shipped = []
+        for future in as_completed(futures):
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                shipped.append(futures[future])
+                continue
+            outcome = future.result() if error is None else error
+            yield futures[future][0], outcome, time.perf_counter() - started
+        if shipped and attempt == 0:
             pool.respawn_broken()
-    return shipped, [index for chunk in remaining for index in chunk]
+    local.extend(chunk for chunk, _payloads in shipped)  # crash-looping plan
+    for chunk in local:
+        started = time.perf_counter()
+        try:
+            outcome = [_execute_request_to_bytes(requests[index]) for index in chunk]
+        except Exception as error:
+            outcome = error
+        yield chunk, outcome, time.perf_counter() - started
 
 
 def run_batch(
@@ -406,17 +421,14 @@ def run_batch(
     requests = list(requests)
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    results: list[SimulationResult | None] = [None] * len(requests)
-    want_bytes = cache is not None and hasattr(cache, "put_bytes")
-    get_bytes = getattr(cache, "get_bytes", None) if want_bytes else None
+    # A lone cacheless request has nothing to deduplicate against, so it
+    # skips the (machine construction + workload hash) key entirely.
+    if cache is None and len(requests) == 1:
+        return [_execute_request(requests[0])]
 
     # Resolve cache hits and within-batch duplicates first: every request is
-    # content-keyed, and only one representative per key executes.  A lone
-    # cacheless request has nothing to deduplicate against, so it skips the
-    # (machine construction + workload hash) key entirely.
-    if cache is None and len(requests) == 1:
-        results[0] = _execute_request(requests[0])
-        return results  # type: ignore[return-value]
+    # content-keyed, and only one representative per key executes.
+    results: list[SimulationResult | None] = [None] * len(requests)
     pending: list[int] = []
     keys: list[tuple] = []
     primary_for_key: dict[tuple, int] = {}
@@ -424,16 +436,10 @@ def run_batch(
     for index, request in enumerate(requests):
         key = request.cache_key()
         keys.append(key)
-        if cache is not None:
-            if get_bytes is not None:
-                blob = get_bytes(key)
-                hit = None if blob is None else pickle.loads(blob)
-            else:
-                hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                continue
-        if key in primary_for_key:
+        blob = None if cache is None else cache.get_bytes(key)
+        if blob is not None:
+            results[index] = pickle.loads(blob)
+        elif key in primary_for_key:
             duplicates.append(index)
         else:
             primary_for_key[key] = index
@@ -450,38 +456,31 @@ def run_batch(
         if workers > 1:
             worker_pool = get_shared_pool(workers)
 
-    local: list[int] = list(pending)
-    payload_bytes: dict[int, bytes] = {}
-    if worker_pool is not None:
-        payloads = {index: _ship_payload(requests[index]) for index in pending}
-        shippable = [index for index in pending if payloads[index] is not None]
-        local = [index for index in pending if payloads[index] is None]
-        if shippable:
-            chunks = _plan_chunks(shippable, requests, worker_pool.workers)
-            shipped, crashed = _run_chunks_on_pool(worker_pool, chunks, payloads)
-            for index, payload in shipped.items():
-                results[index] = pickle.loads(payload)
-            payload_bytes.update(shipped)
-            local.extend(crashed)  # crash-looping plan: finish in-process
-            local.sort()
-    for index in local:
-        if want_bytes:
-            payload_bytes[index] = _execute_request_to_bytes(requests[index])
-            results[index] = pickle.loads(payload_bytes[index])
-        else:
+    # A serial batch keeps the objects it produced; pooled chunks (and their
+    # crash-looping in-process fallback) arrive as canonical bytes.
+    payloads: dict[int, bytes] = {}
+    if worker_pool is None:
+        for index in pending:
             results[index] = _execute_request(requests[index])
+    else:
+        chunks = _plan_chunks(pending, requests, worker_pool.workers)
+        for indexes, outcome, _elapsed in _run_chunks(requests, chunks, worker_pool):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            for index, payload in zip(indexes, outcome):
+                payloads[index] = payload
+                results[index] = pickle.loads(payload)
 
-    # Record the fresh results, then materialize within-batch duplicates as
-    # independent copies of their primary.
+    # Record the fresh results' canonical bytes, then materialize
+    # within-batch duplicates as independent copies of their primary.
+    def canonical(index: int) -> bytes:
+        return payloads.get(index) or _result_to_bytes(results[index])
+
     if cache is not None:
         for index in pending:
-            if want_bytes:
-                cache.put_bytes(keys[index], payload_bytes[index])
-            else:
-                cache.put(keys[index], results[index])
+            cache.put_bytes(keys[index], canonical(index))
     for index in duplicates:
-        primary = results[primary_for_key[keys[index]]]
-        results[index] = pickle.loads(_result_to_bytes(primary))
+        results[index] = pickle.loads(canonical(primary_for_key[keys[index]]))
     return results  # type: ignore[return-value]
 
 

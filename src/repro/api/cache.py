@@ -10,9 +10,13 @@ configuration, the dynamic instruction streams of its workloads and the
 execution mode, so two structurally identical requests share one simulation
 even when they were built from distinct Python objects.
 
-Cached results are stored pickled and a fresh copy is returned on every hit,
-so callers can freely mutate what they get back (results carry mutable
-statistics) without corrupting the cache.
+Every cache speaks one protocol: ``get_bytes(key)``/``put_bytes(key,
+payload)`` over the canonical result bytes of :func:`_result_to_bytes`.
+:class:`RunCache` keeps them in memory, and the durable
+:class:`~repro.service.store.ResultStore` keeps them on disk; ``get``/``put``
+are thin unpickle/pickle wrappers on both.  A hit hands back exactly the
+bytes that were stored, so a warm run's payloads and ledger hashes equal the
+cold run's, and callers who unpickle a hit get a fresh copy they may mutate.
 """
 
 from __future__ import annotations
@@ -42,6 +46,21 @@ Workload = Job | Program | TraceSet
 
 #: Identity-keyed memo of workload fingerprints (hashing a stream is O(n)).
 _workload_fingerprints: "weakref.WeakKeyDictionary[object, str]" = weakref.WeakKeyDictionary()
+
+
+def _result_to_bytes(result: SimulationResult) -> bytes:
+    """The canonical payload bytes of a result.
+
+    Pickling in the producing process keeps payload bytes canonical: the
+    result's object graph still has its natural sharing (interned strings,
+    reused tuples), so identical simulations yield byte-identical payloads
+    no matter which process ran them.  Re-pickling a result after it crossed
+    a process boundary loses that sharing and changes the bytes — which is
+    exactly what content-hashed ledgers and byte-compared caches must avoid.
+    Every path that turns a result into cached or stored bytes (in-process
+    run, pooled worker, sweep executor, service) goes through this one helper.
+    """
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def fingerprint_config(config: MachineConfig) -> str:
@@ -101,14 +120,14 @@ def request_key(
 
 
 class RunCache:
-    """An in-memory, content-addressed cache of :class:`SimulationResult`\\ s.
+    """An in-memory, content-addressed cache of canonical result bytes.
 
     Entries are evicted least-recently-used once ``max_entries`` is exceeded
     (the default keeps every run of a full experiment regeneration).
 
-    All operations are thread-safe: the simulation service's threaded HTTP
-    front end shares one cache with worker-completion callbacks, so the
-    recency reordering and the hit/miss counters are guarded by a lock.
+    All operations are thread-safe, so library callers may share one cache
+    across threads: the recency reordering and the hit/miss counters are
+    guarded by a lock.
     """
 
     def __init__(self, max_entries: int | None = 4096) -> None:
@@ -121,8 +140,8 @@ class RunCache:
         self.misses = 0
 
     # ------------------------------------------------------------------ #
-    def get(self, key: tuple) -> SimulationResult | None:
-        """A fresh copy of the cached result, or ``None`` on a miss."""
+    def get_bytes(self, key: tuple) -> bytes | None:
+        """The stored payload bytes for ``key``, or ``None`` on a miss."""
         with self._lock:
             payload = self._entries.get(key)
             if payload is None:
@@ -130,22 +149,25 @@ class RunCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        return pickle.loads(payload)
+            return payload
 
-    def put(self, key: tuple, result: SimulationResult) -> None:
-        """Store one simulation result (a pickled snapshot, not the object).
+    def get(self, key: tuple) -> SimulationResult | None:
+        """A fresh copy of the cached result, or ``None`` on a miss."""
+        payload = self.get_bytes(key)
+        return None if payload is None else pickle.loads(payload)
 
-        Results serialize compactly: the statistics containers are columnar
-        (flat integer buffers shipped as raw bytes), not per-event object
-        graphs.
-        """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    def put_bytes(self, key: tuple, payload: bytes) -> None:
+        """Store one result's canonical bytes under ``key``, unchanged."""
         with self._lock:
             self._entries[key] = payload
             self._entries.move_to_end(key)
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
+
+    def put(self, key: tuple, result: SimulationResult) -> None:
+        """Store a result produced in this process (a snapshot, not the object)."""
+        self.put_bytes(key, _result_to_bytes(result))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

@@ -29,10 +29,11 @@ memoizes its runs by content, so repeated simulations of identical
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.api.cache import RunCache, request_key
+from repro.api.cache import RunCache, _result_to_bytes, request_key
 from repro.api.registry import register_model, resolve_model
 from repro.core.config import MachineConfig
 from repro.core.dual_scalar import DualScalarSimulator
@@ -324,11 +325,11 @@ class Machine:
     def _cached(self, key: tuple, compute) -> SimulationResult:
         if self.cache is None:
             return compute()
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
+        payload = self.cache.get_bytes(key)
+        if payload is not None:
+            return pickle.loads(payload)
         result = compute()
-        self.cache.put(key, result)
+        self.cache.put_bytes(key, _result_to_bytes(result))
         return result
 
     def run(

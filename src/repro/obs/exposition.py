@@ -13,13 +13,22 @@ lines of ``/metrics``), nothing more.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["parse_exposition", "render_families"]
 
 
 def _format_value(value: float) -> str:
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
+    """A sample value, exactly: integral values as integers, others by
+    ``repr`` (the shortest string that round-trips), infinities and NaN
+    spelled the Prometheus way."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return f"{value:g}"
+    return repr(float(value))
 
 
 def _format_labels(labelnames: list[str], labelvalues: list[str]) -> str:
@@ -58,7 +67,7 @@ def render_families(snapshot: dict) -> list[str]:
                 suffix = _label_suffix(labelnames, labelvalues, 'le="+Inf"')
                 lines.append(f"{name}_bucket{suffix} {series['count']}")
                 label_str = _format_labels(labelnames, labelvalues)
-                lines.append(f"{name}_sum{label_str} {series['sum']:g}")
+                lines.append(f"{name}_sum{label_str} {_format_value(series['sum'])}")
                 lines.append(f"{name}_count{label_str} {series['count']}")
             else:
                 label_str = _format_labels(labelnames, labelvalues)

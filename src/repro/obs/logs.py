@@ -28,17 +28,34 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(name)
 
 
+class _CurrentStdout:
+    """A stream that writes to whatever ``sys.stdout`` is at emit time.
+
+    Binding a handler to the ``sys.stdout`` object of the moment breaks as
+    soon as that object is swapped out and closed (output capture, a
+    redirecting caller): every later record would fail with ``I/O operation
+    on closed file``.
+    """
+
+    def write(self, text: str) -> int:
+        return sys.stdout.write(text)
+
+    def flush(self) -> None:
+        sys.stdout.flush()
+
+
 def configure_logging(level: str = "info", stream=None) -> logging.Logger:
     """Attach a stream handler to the ``repro`` logger (idempotent).
 
-    Repeated calls reuse/retarget the one handler instead of stacking
-    duplicates, so tests can call this freely.
+    Without a ``stream`` the handler writes to the current ``sys.stdout``
+    each time a record is emitted.  Repeated calls reuse/retarget the one
+    handler instead of stacking duplicates, so tests can call this freely.
     """
     root = logging.getLogger(_ROOT)
     numeric = getattr(logging, level.upper(), None)
     if not isinstance(numeric, int):
         raise ValueError(f"unknown log level: {level!r}")
-    target = stream if stream is not None else sys.stdout
+    target = stream if stream is not None else _CurrentStdout()
     handler = next(
         (
             existing

@@ -36,10 +36,11 @@ Durability and safety properties:
   ``max_bytes`` instead of overshooting it N×; a missing victim file
   (already evicted by a sibling) is tolerated everywhere.
 
-The store exposes the same ``get(key)``/``put(key, result)`` surface as
-:class:`~repro.api.cache.RunCache`, so it is a drop-in ``cache=`` argument for
-:class:`~repro.api.machine.Machine` and :func:`~repro.api.batch.run_batch`.
-All methods are thread-safe.
+The store speaks the one cache protocol of :mod:`repro.api.cache` —
+``get_bytes``/``put_bytes`` over canonical result bytes, with ``get``/``put``
+as thin wrappers — so it is a drop-in ``cache=`` argument for
+:class:`~repro.api.machine.Machine`, :func:`~repro.api.batch.run_batch` and
+:func:`~repro.sweep.execute_sweep`.  All methods are thread-safe.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
+from repro.api.cache import _result_to_bytes
 from repro.core.results import SimulationResult
 from repro.errors import ConfigurationError
 from repro.faults import inject_store_corrupt
@@ -439,7 +441,7 @@ class ResultStore:
 
     def put(self, key: tuple, result: SimulationResult) -> None:
         """Pickle and store one simulation result under ``key``."""
-        self.put_bytes(key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        self.put_bytes(key, _result_to_bytes(result))
 
     # ------------------------------------------------------------------ #
     def total_bytes(self) -> int:

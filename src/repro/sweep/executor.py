@@ -2,10 +2,15 @@
 
 Two fan-out paths, one result shape:
 
-* **local** — points run through the :mod:`repro.api.batch` machinery (the
-  same pickled-payload worker shipping ``run_batch`` uses), over the
+* **local** — points run on :func:`repro.api.batch._run_chunks`, the pool
+  path ``run_batch`` uses (one point per chunk), over the
   process-wide shared :class:`~repro.api.pool.WorkerPool` (``jobs=N``,
-  capped by the host's usable CPUs) and an optional cache/store;
+  capped by the host's usable CPUs), so a worker crash is ridden out the
+  same way: one pool respawn, then in-process execution.  An optional
+  :class:`~repro.api.cache.RunCache` or
+  :class:`~repro.service.store.ResultStore` serves and records the points'
+  canonical payload bytes unchanged, so a warm run's ledger equals the cold
+  run's;
 * **service** — points are submitted to a running :mod:`repro.service`
   endpoint via :class:`~repro.service.client.ServiceClient`, which brings the
   durable store, request coalescing and the persistent worker pool along for
@@ -25,15 +30,9 @@ from __future__ import annotations
 import pickle
 import time
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.api.batch import (
-    _execute_pickled_to_bytes,
-    _execute_request_to_bytes,
-    _ship_payload,
-)
+from repro.api.batch import _run_chunks
 from repro.api.pool import get_shared_pool, usable_cpus
 from repro.core.results import SimulationResult
 from repro.errors import SweepError
@@ -129,10 +128,6 @@ def _outcome_from_error(point: SweepPoint, error: BaseException, elapsed: float)
     )
 
 
-def _pickle_result(result: SimulationResult) -> bytes:
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 # --------------------------------------------------------------------------- #
 # local execution
 # --------------------------------------------------------------------------- #
@@ -181,103 +176,46 @@ def _execute_local(
     # serve store/cache hits first (and record which points still need work)
     pending: list[SweepPoint] = []
     for point in primaries:
-        key = keys[point.point_id]
-        payload = None
-        if cache is not None:
-            started = time.perf_counter()
-            if hasattr(cache, "get_bytes"):
-                payload = cache.get_bytes(key)
-            else:
-                hit = cache.get(key)
-                payload = None if hit is None else _pickle_result(hit)
-            if payload is not None:
-                settle(
-                    point,
-                    PointOutcome(
-                        point=point,
-                        status="done",
-                        served_from="store",
-                        payload=payload,
-                        elapsed=time.perf_counter() - started,
-                    ),
-                )
-                continue
-        pending.append(point)
+        started = time.perf_counter()
+        payload = None if cache is None else cache.get_bytes(keys[point.point_id])
+        if payload is None:
+            pending.append(point)
+            continue
+        settle(
+            point,
+            PointOutcome(
+                point=point,
+                status="done",
+                served_from="store",
+                payload=payload,
+                elapsed=time.perf_counter() - started,
+            ),
+        )
 
-    def record(point: SweepPoint, payload: bytes, elapsed: float) -> None:
+    # one point per chunk keeps per-point scheduling, progress and failure
+    # isolation; workers return canonical payload bytes, so ledger hashes do
+    # not depend on the --jobs setting
+    workers = min(jobs, usable_cpus())
+    pool = get_shared_pool(workers) if workers > 1 and len(pending) > 1 else None
+    requests = [point.request for point in pending]
+    chunks = [[index] for index in range(len(pending))]
+    for (index,), outcome, elapsed in _run_chunks(requests, chunks, pool):
+        point = pending[index]
+        if isinstance(outcome, BaseException):
+            settle(point, _outcome_from_error(point, outcome, elapsed))
+            continue
         if cache is not None:
-            key = keys[point.point_id]
-            if hasattr(cache, "put_bytes"):
-                cache.put_bytes(key, payload)
-            else:
-                cache.put(key, pickle.loads(payload))
+            cache.put_bytes(keys[point.point_id], outcome[0])
         settle(
             point,
             PointOutcome(
                 point=point,
                 status="done",
                 served_from="executed",
-                payload=payload,
+                payload=outcome[0],
                 elapsed=elapsed,
             ),
         )
-
-    local: list[SweepPoint] = []
-    workers = min(jobs, usable_cpus())
-    if workers > 1 and len(pending) > 1:
-        payloads = {point.point_id: _ship_payload(point.request) for point in pending}
-        shippable = [point for point in pending if payloads[point.point_id] is not None]
-        local = [point for point in pending if payloads[point.point_id] is None]
-        if len(shippable) > 1:
-            pool = get_shared_pool(workers)
-            started = time.perf_counter()
-            # workers return the result pre-pickled: payload bytes stay
-            # canonical (identical to a serial in-process run), so ledger
-            # hashes do not depend on the --jobs setting
-            futures = {
-                pool.submit(_execute_pickled_to_bytes, payloads[point.point_id]): point
-                for point in shippable
-            }
-            retried: set[str] = set()
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    point = futures[future]
-                    elapsed = time.perf_counter() - started
-                    error = future.exception()
-                    if isinstance(error, BrokenProcessPool):
-                        # a worker died under the point: respawn the pool and
-                        # retry once, then finish in-process (the crash fault
-                        # only hooks the pool entry point, so the local pass
-                        # completes even under a crash-looping plan)
-                        if point.point_id not in retried:
-                            retried.add(point.point_id)
-                            pool.respawn_broken()
-                            retry = pool.submit(
-                                _execute_pickled_to_bytes, payloads[point.point_id]
-                            )
-                            futures[retry] = point
-                            remaining = set(remaining) | {retry}
-                        else:
-                            local.append(point)
-                    elif error is not None:
-                        settle(point, _outcome_from_error(point, error, elapsed))
-                    else:
-                        record(point, future.result(), elapsed)
-        else:
-            local = pending
-    else:
-        local = pending
-
-    for point in local:
-        started = time.perf_counter()
-        try:
-            payload = _execute_request_to_bytes(point.request)
-        except Exception as error:
-            settle(point, _outcome_from_error(point, error, time.perf_counter() - started))
-        else:
-            record(point, payload, time.perf_counter() - started)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.api import (
     fingerprint_workload,
     run_batch,
 )
+from repro.api.batch import _execute_request_to_bytes
 from repro.core import Job, MachineConfig
 from repro.errors import ConfigurationError
 
@@ -194,6 +197,29 @@ class TestRunCache:
         other = make_vector_loop_program("triad_prog", kernel="triad", vl=16, iterations=4)
         assert fingerprint_workload(WORKLOADS["triad"]) == fingerprint_workload(twin)
         assert fingerprint_workload(WORKLOADS["triad"]) != fingerprint_workload(other)
+
+    def test_entries_are_the_producers_canonical_bytes(self):
+        # run_batch and the Machine facade both store the bytes pickled where
+        # the result was produced, so every hit replays the cold payload
+        request = _request("reference", "triad", 1, "single")
+        canonical = _execute_request_to_bytes(request)
+        batch_cache, machine_cache = RunCache(), RunCache()
+        run_batch([request, request], cache=batch_cache)
+        request.build_machine(cache=machine_cache).run(request.workloads[0])
+        assert batch_cache.get_bytes(request.cache_key()) == canonical
+        assert machine_cache.get_bytes(request.cache_key()) == canonical
+
+    def test_serial_results_pickle_to_canonical_bytes(self):
+        # a serial batch returns the objects it produced, so callers that
+        # pickle them get the bytes every cache and worker records
+        requests = [
+            _request("reference", "triad", latency, "single") for latency in (1, 50)
+        ]
+        for cache in (None, RunCache()):
+            results = run_batch(requests, cache=cache)
+            assert [pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL) for r in results] == [
+                _execute_request_to_bytes(request) for request in requests
+            ]
 
     def test_lru_eviction_respects_max_entries(self):
         cache = RunCache(max_entries=2)

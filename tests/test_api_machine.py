@@ -263,8 +263,9 @@ class TestMachineCache:
 
 
 class TestRunCacheThreadSafety:
-    """The service's threaded HTTP front end shares one cache with worker
-    completions, so concurrent get/put/len must never corrupt the cache."""
+    """A RunCache may be shared by library callers on several threads (the
+    service uses a ResultStore instead), so concurrent get/put/len must never
+    corrupt the cache."""
 
     def test_concurrent_get_put_with_eviction(self, triad_program):
         import threading

@@ -9,7 +9,6 @@ the machinery under test unexercised.
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
@@ -55,27 +54,6 @@ def pool():
     instance = WorkerPool(2)
     yield instance
     instance.shutdown()
-
-
-class _BytesCache:
-    """Minimal byte-store cache (the ``ResultStore`` protocol slice)."""
-
-    def __init__(self) -> None:
-        self.blobs: dict[tuple, bytes] = {}
-
-    def get_bytes(self, key: tuple) -> bytes | None:
-        return self.blobs.get(key)
-
-    def put_bytes(self, key: tuple, payload: bytes) -> None:
-        self.blobs[key] = payload
-
-    # run_batch probes the object protocol too
-    def get(self, key: tuple):
-        payload = self.blobs.get(key)
-        return None if payload is None else pickle.loads(payload)
-
-    def put(self, key: tuple, result) -> None:  # pragma: no cover - unused
-        raise AssertionError("byte-capable caches must receive bytes")
 
 
 class TestWorkerPool:
@@ -179,12 +157,13 @@ class TestResultShipping:
 
     def test_byte_store_payloads_identical_local_vs_pooled(self, pool):
         requests = _requests(latencies=(1, 50))
-        local_cache, pooled_cache = _BytesCache(), _BytesCache()
+        local_cache, pooled_cache = RunCache(), RunCache()
         run_batch(requests, jobs=1, cache=local_cache)
         run_batch(requests, pool=pool, cache=pooled_cache)
-        assert set(local_cache.blobs) == set(pooled_cache.blobs)
-        for key, blob in local_cache.blobs.items():
-            assert pooled_cache.blobs[key] == blob
+        for request in requests:
+            blob = local_cache.get_bytes(request.cache_key())
+            assert blob is not None
+            assert pooled_cache.get_bytes(request.cache_key()) == blob
 
     def test_run_cache_hits_after_pooled_batch(self, pool):
         cache = RunCache()

@@ -140,6 +140,34 @@ class TestExposition:
         assert ("repro_jobs_total", {"kind": "fast"}, 2.0) in counter_samples
 
 
+    def test_values_round_trip_exactly(self):
+        # more than six significant digits must survive render -> parse
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_big_seconds", "Big", buckets=(1.0,))
+        histogram.observe(123456.789)
+        histogram.observe(0.1)
+        gauge = registry.gauge("repro_ratio", "Ratio")
+        gauge.set(1 / 3)
+        parsed = parse_exposition("\n".join(render_families(registry.snapshot())))
+        samples = {
+            name: value
+            for family in parsed.values()
+            for name, _labels, value in family["samples"]
+        }
+        assert samples["repro_big_seconds_sum"] == 123456.789 + 0.1
+        assert samples["repro_ratio"] == 1 / 3
+
+    def test_infinities_and_nan_use_prometheus_spelling(self):
+        registry = MetricsRegistry()
+        for name, value in (("repro_up", float("inf")), ("repro_down", float("-inf")),
+                            ("repro_none", float("nan"))):
+            registry.gauge(name, "Edge").set(value)
+        text = "\n".join(render_families(registry.snapshot()))
+        assert "repro_up +Inf" in text
+        assert "repro_down -Inf" in text
+        assert "repro_none NaN" in text
+
+
 class TestMerge:
     def _shard(self, observations: list[float], submitted: int) -> dict:
         registry = MetricsRegistry()

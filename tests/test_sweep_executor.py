@@ -1,12 +1,14 @@
-"""Tests for the sweep executor: local fan-out, dedup, caching and
-per-point failure isolation."""
+"""Tests for the sweep executor: local fan-out, dedup, caching, per-point
+failure isolation and worker-crash recovery."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api.cache import RunCache
+from repro.api.pool import get_shared_pool, shutdown_shared_pool
 from repro.errors import SweepError
+from repro.faults import FaultPlan, FaultSpec, clear_fault_plan, set_fault_plan
 from repro.service import ResultStore
 from repro.sweep import (
     Repetitions,
@@ -135,11 +137,48 @@ class TestCaching:
         # stored payloads are byte-identical to the cold run's
         assert [o.payload for o in warm.outcomes] == [o.payload for o in cold.outcomes]
 
-    def test_run_cache_object_interface(self):
-        cache = RunCache()
-        cold = execute_sweep(compiled_sweep(), cache=cache)
-        warm = execute_sweep(compiled_sweep(), cache=cache)
-        assert warm.counts()["store"] == 2
-        assert [o.result().cycles for o in warm.outcomes] == [
-            o.result().cycles for o in cold.outcomes
-        ]
+    def test_run_cache_warm_run_is_byte_identical(self):
+        for jobs in (1, 2):
+            cache = RunCache()
+            cold = execute_sweep(compiled_sweep(), jobs=jobs, cache=cache)
+            warm = execute_sweep(compiled_sweep(), jobs=jobs, cache=cache)
+            assert warm.counts() == {"points": 2, "failed": 0, "store": 2}
+            # a RunCache hands back the cold run's canonical bytes, not a
+            # re-pickle of them
+            cold_payloads = [o.payload for o in cold.outcomes]
+            assert [o.payload for o in warm.outcomes] == cold_payloads
+
+
+class TestCrashRecovery:
+    """The sweep rides out worker crashes on the batch pool path's crash ladder."""
+
+    @pytest.fixture(autouse=True)
+    def _pooled(self, monkeypatch):
+        # force the pooled path even on a one-CPU host
+        monkeypatch.setattr("repro.sweep.executor.usable_cpus", lambda: 2)
+        clear_fault_plan()
+        shutdown_shared_pool()
+        yield
+        clear_fault_plan()
+        shutdown_shared_pool()
+
+    def test_single_crash_is_retried_on_a_respawned_pool(self, tmp_path):
+        serial = execute_sweep(compiled_sweep())
+        # a shared state_dir caps the budget at ONE crash across the workers:
+        # the retry after the respawn must succeed
+        set_fault_plan(
+            FaultPlan([FaultSpec("worker_crash", count=1)], state_dir=tmp_path)
+        )
+        pooled = execute_sweep(compiled_sweep(), jobs=2)
+        assert pooled.counts() == {"points": 2, "failed": 0, "executed": 2}
+        assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
+        assert get_shared_pool().spawned >= 2  # the crash cost one executor
+
+    def test_crash_looping_plan_finishes_in_process(self):
+        serial = execute_sweep(compiled_sweep())
+        # without a state_dir every fresh worker crashes its first chunk:
+        # both pool attempts fail and the sweep must complete locally
+        set_fault_plan(FaultPlan([FaultSpec("worker_crash", count=1_000_000)]))
+        pooled = execute_sweep(compiled_sweep(), jobs=2)
+        assert pooled.counts() == {"points": 2, "failed": 0, "executed": 2}
+        assert [o.payload for o in pooled.outcomes] == [o.payload for o in serial.outcomes]
